@@ -109,7 +109,6 @@ func main() {
 	prefetch := flag.Bool("prefetch", false,
 		"speculatively re-train predicted-miss keys during idle cycles, strictly below request traffic (requires -usage; works best with -seed-index)")
 	prefetchEvery := flag.Duration("prefetch-interval", 50*time.Millisecond, "prefetcher idle-cycle period")
-	prefetchDepth := flag.Int("prefetch-depth", 4, "ranked predictions examined per device per prefetch cycle")
 	flag.Parse()
 
 	logger, err := newLogger(*logFormat, *logLevel)
@@ -246,7 +245,6 @@ func main() {
 		CachePolicy:          *cachePolicy,
 		EnablePrefetch:       *prefetch,
 		PrefetchInterval:     *prefetchEvery,
-		PrefetchDepth:        *prefetchDepth,
 		Logger:               logger,
 	})
 

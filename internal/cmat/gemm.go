@@ -22,48 +22,11 @@ package cmat
 // observable value anywhere in the system. The same holds per element for
 // the conj(A)·B and A·Bᵀ variants below (A·Bᵀ has no zero-skip in either
 // arm, matching its naive form).
-//
-// MulIntoParallel adds an optional bounded worker pool over disjoint blocks
-// of output rows (package-level SetWorkers, default 1 = sequential). Blocks
-// never overlap and every element is computed by the same code regardless
-// of which worker runs it, so the parallel path is bit-identical by
-// construction.
 
-import (
-	"sync"
-	"sync/atomic"
-)
-
-const (
-	// gemmMinDim routes MulInto and friends onto the blocked path: below it
-	// the unrolled kernels or the naive loop win (row-block bookkeeping
-	// costs more than it saves on a 4×4).
-	gemmMinDim = 8
-	// gemmRowBlock is the parallel work-unit granularity in output rows:
-	// big enough that a unit amortizes the handoff, small enough that a
-	// 16-row product still splits across two workers.
-	gemmRowBlock = 8
-)
-
-// gemmWorkers is the bounded pool size used by MulIntoParallel; 1 (the
-// default) keeps every multiply sequential.
-var gemmWorkers atomic.Int32
-
-func init() { gemmWorkers.Store(1) }
-
-// SetWorkers bounds the worker pool MulIntoParallel fans output-row blocks
-// across. Values below 1 are clamped to 1 (sequential). The setting is
-// process-wide and safe to change concurrently with multiplies; in-flight
-// calls keep the count they started with.
-func SetWorkers(n int) {
-	if n < 1 {
-		n = 1
-	}
-	gemmWorkers.Store(int32(n))
-}
-
-// Workers returns the current MulIntoParallel pool bound.
-func Workers() int { return int(gemmWorkers.Load()) }
+// gemmMinDim routes MulInto and friends onto the blocked path: below it
+// the unrolled kernels or the naive loop win (row-block bookkeeping costs
+// more than it saves on a 4×4).
+const gemmMinDim = 8
 
 // mulRows computes rows [i0, i1) of dst = a·b, four output rows per B-row
 // pass. Shapes are the caller's responsibility. Per output element the
@@ -158,48 +121,6 @@ func mulNaive(dst, a, b *Matrix) {
 			}
 		}
 	}
-}
-
-// MulIntoParallel computes dst = a·b like MulInto, fanning blocks of
-// output rows across the bounded SetWorkers pool. Blocks are disjoint and
-// every element is computed by the same kernel as the sequential path, so
-// the result is bit-identical to MulInto for any worker count. Products
-// too small to split (or a pool of 1) run sequentially inline.
-func MulIntoParallel(dst, a, b *Matrix) {
-	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
-		panic("cmat: MulIntoParallel shape mismatch")
-	}
-	n, p := a.Rows, b.Cols
-	w := Workers()
-	blocks := (n + gemmRowBlock - 1) / gemmRowBlock
-	if w > blocks {
-		w = blocks
-	}
-	if w <= 1 || n < gemmMinDim || p < gemmMinDim {
-		MulInto(dst, a, b)
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for i := 0; i < w; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				bi := int(next.Add(1)) - 1
-				if bi >= blocks {
-					return
-				}
-				lo := bi * gemmRowBlock
-				hi := lo + gemmRowBlock
-				if hi > n {
-					hi = n
-				}
-				mulRows(dst, a, b, lo, hi)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // mulConjRows computes rows [i0, i1) of dst = conj(a)·b with the same

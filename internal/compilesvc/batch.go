@@ -1,14 +1,16 @@
 package compilesvc
 
-// Async request batching. Submissions against the same (device, epoch)
-// namespace that arrive within one BatchWindow flush to the pool as a
-// single task and share one resolveGroups pass: their unique groups are
-// unioned, resolved once (coverage plan, MST ordering, singleflight
-// training), and each job's response is then rebuilt from the per-key
-// outcome tally plus its own occurrence counts. Batching lives in the
-// training tier, not the HTTP layer, because only the tier that plans
-// groups can know that two circuits share work — the routing tier sees
-// opaque programs.
+// Request batching and the one request pipeline. Async submissions
+// against the same (device, epoch) namespace that arrive within one
+// BatchWindow flush to the pool as a single task; a synchronous request
+// is enqueued directly as a batch of one. A worker runs every batch the
+// same way: plan each request, resolve the union of their unique groups
+// once (coverage plan, MST ordering, singleflight training), rebuild each
+// request's counters from the per-key outcome tally plus its own
+// occurrence counts, and finish its latency or schedule tail. Batching
+// lives in the training tier, not the HTTP layer, because only the tier
+// that plans groups can know that two circuits share work — the routing
+// tier sees opaque programs.
 //
 // Counter semantics under sharing: when two batched jobs reference the
 // same cold group, the one shared training's iterations (and warm-seed
@@ -30,21 +32,45 @@ import (
 	"accqoc/internal/obs"
 )
 
-// asyncTask is one submitted async request plus its lifecycle callbacks.
-type asyncTask struct {
+// reqTask is one request plus its lifecycle callbacks: an async
+// submission's start and done hooks, or a synchronous caller's reply
+// channel.
+type reqTask struct {
 	req   *Request
 	start func() bool
 	done  func(*Result, error)
-	// begin stamps submission time: an async job's CompileMillis covers
-	// submit → completion, batch window included.
+	reply chan<- answer
+	// begin stamps where CompileMillis starts: submission for an async
+	// job (batch window included); zero for a synchronous request, which
+	// is stamped at worker pickup.
 	begin time.Time
-	// waitSpan times submit → batch flush; queueSpan times flush →
-	// worker pickup.
+	// waitSpan times submit → batch flush (async only); queueSpan times
+	// enqueue → worker pickup.
 	waitSpan  *obs.Span
 	queueSpan *obs.Span
 }
 
-func (at *asyncTask) fail(err error) { at.done(nil, err) }
+// deliver answers the request: on the reply channel of a synchronous
+// caller, through the done hook of an async submission.
+func (rt *reqTask) deliver(res *Result, err error) {
+	if rt.reply != nil {
+		rt.reply <- answer{res: res, err: err}
+		return
+	}
+	rt.done(res, err)
+}
+
+func (rt *reqTask) fail(err error) { rt.deliver(nil, err) }
+
+// answer is one request of a batch on its way through runBatch: its plan
+// once the front end ran, then its result, delivered once the worker has
+// left the in-flight count.
+type answer struct {
+	rt   *reqTask
+	plan *accqoc.GroupPlan
+	res  *Result
+	err  error
+}
 
 // batcher groups async submissions by namespace until their window
 // elapses, then flushes each group to the pool as one task.
@@ -58,7 +84,7 @@ type batcher struct {
 }
 
 type batchGroup struct {
-	tasks []*asyncTask
+	tasks []*reqTask
 	timer *time.Timer
 }
 
@@ -70,13 +96,13 @@ func newBatcher(p *Pool, window time.Duration) *batcher {
 // first use. The namespace pointer is the batch key: one live namespace
 // per (device, epoch), so requests across devices or epochs never batch.
 func (b *batcher) add(req *Request, start func() bool, done func(*Result, error)) error {
-	at := &asyncTask{req: req, start: start, done: done, begin: time.Now()}
+	rt := &reqTask{req: req, start: start, done: done, begin: time.Now()}
 	b.mu.Lock()
+	defer b.mu.Unlock()
 	if b.closed {
-		b.mu.Unlock()
 		return ErrClosed
 	}
-	at.waitSpan = req.Trace.StartSpan("batch_wait")
+	rt.waitSpan = req.Trace.StartSpan("batch_wait")
 	g := b.groups[req.NS]
 	if g == nil {
 		g = &batchGroup{}
@@ -84,14 +110,14 @@ func (b *batcher) add(req *Request, start func() bool, done func(*Result, error)
 		ns := req.NS
 		g.timer = time.AfterFunc(b.window, func() { b.flush(ns, g) })
 	}
-	g.tasks = append(g.tasks, at)
-	b.mu.Unlock()
+	g.tasks = append(g.tasks, rt)
 	return nil
 }
 
-// flush moves one group out of the batcher and onto the pool, retrying
-// through transient queue-full (the jobs were already accepted with 202;
-// shedding load is the job store's admission control, not the queue's).
+// flush moves one group out of the batcher and onto the pool. The jobs
+// were already accepted with 202 (shedding load is the job store's
+// admission control, not the queue's), so a full queue blocks the flush
+// until a slot frees; Close interrupts the wait and fails the jobs.
 func (b *batcher) flush(ns *devreg.Namespace, g *batchGroup) {
 	b.mu.Lock()
 	if b.groups[ns] != g {
@@ -100,29 +126,15 @@ func (b *batcher) flush(ns *devreg.Namespace, g *batchGroup) {
 		return
 	}
 	delete(b.groups, ns)
-	tasks := g.tasks
 	b.mu.Unlock()
 
-	t := &task{batch: tasks}
-	for _, at := range tasks {
-		at.waitSpan.End()
-		at.queueSpan = at.req.Trace.StartSpan("queue")
+	t := &task{batch: g.tasks}
+	for _, rt := range g.tasks {
+		rt.waitSpan.End()
+		rt.queueSpan = rt.req.Trace.StartSpan("queue")
 	}
-	for {
-		err := b.pool.enqueue(t)
-		if err == nil {
-			return
-		}
-		if err == ErrClosed {
-			t.fail(ErrClosed)
-			return
-		}
-		select {
-		case <-b.pool.quit:
-			t.fail(ErrClosed)
-			return
-		case <-time.After(2 * time.Millisecond):
-		}
+	if err := b.pool.enqueue(t, true); err != nil {
+		t.fail(err)
 	}
 }
 
@@ -137,131 +149,144 @@ func (b *batcher) close() {
 	b.mu.Unlock()
 	for _, g := range groups {
 		g.timer.Stop()
-		for _, at := range g.tasks {
-			at.fail(ErrClosed)
+		for _, rt := range g.tasks {
+			rt.fail(ErrClosed)
 		}
 	}
 }
 
-// runBatch executes one flushed batch on a worker: veto canceled jobs,
-// plan each survivor, resolve the union of their unique groups in one
-// shared pass, then rebuild each job's counters from the outcome tally
-// and finish its own latency/schedule tail.
-func (p *Pool) runBatch(tasks []*asyncTask) {
-	live := tasks[:0:0]
-	for _, at := range tasks {
+// runBatch executes one batch on a worker: veto canceled jobs, plan each
+// survivor, resolve the union of their unique groups in one shared pass,
+// then count each job's outcomes from the tally and finish its own
+// latency/schedule tail. It returns every surviving job's answer.
+func (p *Pool) runBatch(tasks []*reqTask) []answer {
+	pickup := time.Now()
+	answers := make([]answer, 0, len(tasks))
+	lead := -1 // the first planned job
+	for _, rt := range tasks {
 		// A vetoed task (canceled before pickup) gets no callbacks; the
 		// submitter's start hook owns its cleanup.
-		if at.start == nil || at.start() {
-			live = append(live, at)
-		}
-	}
-	if len(live) == 0 {
-		return
-	}
-	// All tasks of a batch share one namespace by construction.
-	ns := live[0].req.NS
-	dev := ns.Comp.Options().Device
-
-	type item struct {
-		at   *asyncTask
-		plan *accqoc.GroupPlan
-		resp *CompileResponse
-	}
-	var items []*item
-	seen := map[string]bool{}
-	var union []*grouping.UniqueGroup
-	for _, at := range live {
-		sp := at.req.Trace.StartSpan("prepare")
-		plan, err := ns.Plan(at.req.Prog)
-		if err != nil {
-			at.done(nil, err)
+		if rt.start != nil && !rt.start() {
 			continue
 		}
-		sp.End()
-		items = append(items, &item{at: at, plan: plan, resp: &CompileResponse{
-			Qubits:      at.req.Prog.NumQubits,
-			Gates:       at.req.Prog.GateCount(),
-			Epoch:       ns.Epoch,
-			TotalGroups: len(plan.Prepared.Grouping.Groups),
-		}})
-		for _, u := range plan.Unique {
-			if !seen[u.Key] {
-				seen[u.Key] = true
-				union = append(union, u)
-			}
+		if rt.begin.IsZero() {
+			rt.begin = pickup
+		}
+		sp := rt.req.Trace.StartSpan("prepare")
+		plan, err := rt.req.NS.Plan(rt.req.Prog)
+		if err == nil {
+			sp.End()
+		}
+		answers = append(answers, answer{rt: rt, plan: plan, err: err})
+		if err == nil && lead < 0 {
+			lead = len(answers) - 1
 		}
 	}
-	if len(items) == 0 {
-		return
+	if lead < 0 {
+		return answers
 	}
-
-	// One shared resolve pass over the union. The scratch response soaks
-	// up the pass-level counters (discarded); the tally records per-key
-	// outcomes for the per-job rebuild below. Plan/train spans land on
-	// the first job's trace — it is the batch leader.
-	scratch := &CompileResponse{}
-	tally := map[string]*keyOutcome{}
-	entries := p.resolveGroups(ns, scratch, union, items[0].at.req.Trace, tally)
-
-	for _, it := range items {
-		resp := it.resp
-		for _, u := range it.plan.Unique {
-			ko := tally[u.Key]
-			if ko == nil {
-				continue // unreachable: every unique key was in the union
-			}
-			if ko.outcome == libstore.OutcomeHit {
-				resp.CoveredGroups += u.Count
+	// All tasks of a batch share one namespace by construction.
+	ns := answers[lead].rt.req.NS
+	union := answers[lead].plan.Unique
+	if len(answers) > 1 {
+		union = nil
+		seen := map[string]bool{}
+		for _, a := range answers {
+			if a.err != nil {
 				continue
 			}
-			resp.UncoveredUnique++
-			if ko.failed {
-				resp.FailedGroups++
-				continue
-			}
-			if ko.outcome == libstore.OutcomeTrained {
-				resp.TrainingIterations += ko.iterations
-				if ko.seeded {
-					resp.WarmSeeded++
-					resp.seedDistanceSum += ko.seedDist
+			for _, u := range a.plan.Unique {
+				if !seen[u.Key] {
+					seen[u.Key] = true
+					union = append(union, u)
 				}
 			}
 		}
-		if resp.WarmSeeded > 0 {
-			resp.SeedDistance = resp.seedDistanceSum / float64(resp.WarmSeeded)
-		}
-		if resp.TotalGroups > 0 {
-			resp.CoverageRate = float64(resp.CoveredGroups) / float64(resp.TotalGroups)
-		} else {
-			resp.CoverageRate = 1
-		}
-		resp.WarmServed = resp.UncoveredUnique == 0
-
-		if it.at.req.Circuit {
-			circ, err := assembleCircuit(it.plan, ns, resp, entries, it.at.req.Waveforms, it.at.req.Trace, it.at.begin)
-			if err != nil {
-				it.at.done(nil, err)
-				continue
-			}
-			it.at.done(&Result{Circ: circ}, nil)
-			continue
-		}
-		gr := it.plan.Prepared.Grouping
-		keys := it.plan.Keys
-		sp := it.at.req.Trace.StartSpan("latency")
-		overall, err := latency.OverallGroups(gr, func(i int) (float64, error) {
-			if e, ok := entries[keys[i]]; ok {
-				return e.LatencyNs, nil
-			}
-			return accqoc.GateFallbackNs(gr.Groups[i], dev.Calibration), nil
-		})
-		if err != nil {
-			it.at.done(nil, err)
-			continue
-		}
-		finalizeResponse(resp, it.plan.Prepared.Physical, dev, overall, it.at.begin)
-		sp.End()
-		it.at.done(&Result{Resp: resp}, nil)
 	}
+
+	// One shared resolve pass over the union. Plan/train spans land on
+	// the first planned job's trace — it is the batch leader.
+	tally := p.resolveGroups(ns, union, answers[lead].rt.req.Trace)
+	for i := range answers {
+		a := &answers[i]
+		if a.err != nil {
+			continue
+		}
+		prog := a.rt.req.Prog
+		resp := &CompileResponse{
+			Qubits:      prog.NumQubits,
+			Gates:       prog.GateCount(),
+			Epoch:       ns.Epoch,
+			TotalGroups: len(a.plan.Prepared.Grouping.Groups),
+		}
+		countOutcomes(resp, a.plan.Unique, tally)
+		a.res, a.err = finish(a.plan, ns, resp, tally, a.rt)
+	}
+	return answers
+}
+
+// countOutcomes fills one request's coverage, training, seeding and
+// failure counters from the shared pass's per-key outcomes.
+func countOutcomes(resp *CompileResponse, uniq []*grouping.UniqueGroup, tally map[string]keyOutcome) {
+	var seedSum float64
+	for _, u := range uniq {
+		ko := tally[u.Key]
+		if ko.outcome == libstore.OutcomeHit {
+			resp.CoveredGroups += u.Count
+			continue
+		}
+		// Trained here or joined another request's in-flight training:
+		// either way this request waited on GRAPE for the group.
+		resp.UncoveredUnique++
+		if ko.failed {
+			// Unreachable within the bracket: priced gate-based.
+			resp.FailedGroups++
+			continue
+		}
+		if ko.outcome == libstore.OutcomeTrained {
+			resp.TrainingIterations += ko.iterations
+			if ko.seeded {
+				resp.WarmSeeded++
+				seedSum += ko.seedDist
+			}
+		}
+	}
+	if resp.WarmSeeded > 0 {
+		resp.SeedDistance = seedSum / float64(resp.WarmSeeded)
+	}
+	if resp.TotalGroups > 0 {
+		resp.CoverageRate = float64(resp.CoveredGroups) / float64(resp.TotalGroups)
+	} else {
+		resp.CoverageRate = 1
+	}
+	resp.WarmServed = resp.UncoveredUnique == 0
+}
+
+// finish runs one request's tail over the resolved entries: the
+// scheduled pulse program for circuit requests, Algorithm 3 latency
+// otherwise.
+func finish(plan *accqoc.GroupPlan, ns *devreg.Namespace, resp *CompileResponse, entries map[string]keyOutcome, rt *reqTask) (*Result, error) {
+	tr := rt.req.Trace
+	if rt.req.Circuit {
+		circ, err := assembleCircuit(plan, ns, resp, entries, rt.req.Waveforms, tr, rt.begin)
+		if err != nil {
+			return nil, err
+		}
+		return &Result{Circ: circ}, nil
+	}
+	gr := plan.Prepared.Grouping
+	dev := ns.Comp.Options().Device
+	sp := tr.StartSpan("latency")
+	overall, err := latency.OverallGroups(gr, func(i int) (float64, error) {
+		if e := entries[plan.Keys[i]].entry; e != nil {
+			return e.LatencyNs, nil
+		}
+		return accqoc.GateFallbackNs(gr.Groups[i], dev.Calibration), nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	finalizeResponse(resp, plan.Prepared.Physical, dev, overall, rt.begin)
+	sp.End()
+	return &Result{Resp: resp}, nil
 }

@@ -1,58 +1,29 @@
 package compilesvc
 
-// The whole-circuit pipeline: Prepare, coverage/cold partition,
-// MST-warm-started training through the shared singleflight, Algorithm 3
-// scheduling, and conformance validation. The assemble tail is shared
-// between the synchronous path (compileCircuit) and the async batch path
-// (runBatch), which resolves a union of groups once and assembles each
-// job's schedule from the shared entries.
+// The whole-circuit tail: Algorithm 3 scheduling over a batch's resolved
+// entries, conformance validation, and the wire-format schedule.
 
 import (
 	"fmt"
 	"time"
 
 	"accqoc"
-	"accqoc/internal/circuit"
 	"accqoc/internal/devreg"
 	"accqoc/internal/obs"
 	"accqoc/internal/precompile"
 	"accqoc/internal/pulse"
 )
 
-// compileCircuit runs the whole-circuit pipeline for one namespace:
-// plan (front end + canonical keys), resolve every unique group through
-// the shared singleflight/MST machinery, assemble the schedule, and
-// validate it against the schedule invariants before answering.
-func (p *Pool) compileCircuit(prog *circuit.Circuit, ns *devreg.Namespace, inlineWaveforms bool, tr *obs.Trace) (*CircuitResponse, error) {
-	begin := time.Now()
-	sp := tr.StartSpan("prepare")
-	plan, err := ns.Plan(prog)
-	if err != nil {
-		return nil, err
-	}
-	sp.End()
-	gr := plan.Prepared.Grouping
-	resp := &CompileResponse{
-		Qubits:      prog.NumQubits,
-		Gates:       prog.GateCount(),
-		Epoch:       ns.Epoch,
-		TotalGroups: len(gr.Groups),
-	}
-	entries := p.resolveGroups(ns, resp, plan.Unique, tr, nil)
-	return assembleCircuit(plan, ns, resp, entries, inlineWaveforms, tr, begin)
-}
-
-// assembleCircuit is the schedule tail shared by the sync and batch
-// circuit paths: Algorithm 3 assembly over the resolved entries,
-// conformance validation, and the wire-format schedule with
-// content-addressed waveform refs.
-func assembleCircuit(plan *accqoc.GroupPlan, ns *devreg.Namespace, resp *CompileResponse, entries map[string]*precompile.Entry, inlineWaveforms bool, tr *obs.Trace, begin time.Time) (*CircuitResponse, error) {
+// assembleCircuit is the schedule tail of a circuit request: Algorithm 3
+// assembly over the resolved entries, conformance validation, and the
+// wire-format schedule with content-addressed waveform refs.
+func assembleCircuit(plan *accqoc.GroupPlan, ns *devreg.Namespace, resp *CompileResponse, entries map[string]keyOutcome, inlineWaveforms bool, tr *obs.Trace, begin time.Time) (*CircuitResponse, error) {
 	sp := tr.StartSpan("assemble")
 	res := plan.Result()
 	dev := ns.Comp.Options().Device
 	sched, err := accqoc.AssembleSchedule(res, dev.Calibration, func(key string) (*precompile.Entry, bool) {
-		e, ok := entries[key]
-		return e, ok
+		e := entries[key].entry
+		return e, e != nil
 	})
 	if err != nil {
 		return nil, err
@@ -86,7 +57,7 @@ func assembleCircuit(plan *accqoc.GroupPlan, ns *devreg.Namespace, resp *Compile
 			DurationNs: sp.DurationNs,
 			Mirrored:   sp.Mirrored,
 		}
-		if e, eok := entries[sp.Key]; sp.Key != "" && eok && e.Pulse != nil {
+		if e := entries[sp.Key].entry; sp.Key != "" && e != nil && e.Pulse != nil {
 			ref, cached := refs[sp.Key]
 			if !cached {
 				ref = WaveformRef(e)

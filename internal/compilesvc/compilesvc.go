@@ -3,14 +3,22 @@
 // warm-started training through the namespace store's singleflight,
 // Algorithm 3 schedule assembly) behind its own bounded worker pool.
 //
-// The routing tier (internal/server) speaks only the CompileService
-// interface: synchronous requests block on Do, asynchronous jobs enter
-// through Submit — where requests against the same namespace are batched
-// for a shared resolveGroups pass — and calibration rolls feed one item
-// at a time through Recompile. Queue depth, in-flight work and the
-// warm-seeding counter are read back through the same interface, so the
-// HTTP layer never touches pool internals; the seam is exactly what a
-// later multi-process split (consistent-hashed training nodes) needs.
+// Every request runs one pipeline. A synchronous request (Do) is a batch
+// of one, enqueued directly; asynchronous requests (Submit) against the
+// same namespace are batched within a short window. Either way a worker
+// plans each request (front end + canonical keys), resolves the union of
+// the batch's unique groups in one resolveGroups pass, rebuilds each
+// request's counters from the per-key outcome tally, and finishes its
+// latency or schedule tail.
+//
+// Off the request path, the pool's background lane re-trains entries at
+// strictly lower priority than request traffic: the items of calibration
+// rolls handed over by Roll first, then (when enabled) the usage ledger's
+// predicted misses. The routing tier (internal/server) speaks only the
+// CompileService interface; queue depth, in-flight work and the
+// warm-seeding counter are read back through it, so the HTTP layer never
+// touches pool internals — the seam a later multi-process split
+// (consistent-hashed training nodes) needs.
 package compilesvc
 
 import (
@@ -35,7 +43,7 @@ var (
 
 // CompileService is the seam between the routing tier and the training
 // tier. Implementations must be safe for concurrent use from handler
-// goroutines, roll drivers, and shutdown paths.
+// goroutines and shutdown paths.
 type CompileService interface {
 	// Do runs one request synchronously: enqueue, wait for a worker, and
 	// return the finished result. It fails fast with ErrQueueFull or
@@ -53,10 +61,11 @@ type CompileService interface {
 	// closing; then neither callback runs.
 	Submit(req *Request, start func() bool, done func(*Result, error)) error
 
-	// Recompile runs one cross-epoch recompilation item on the pool and
-	// blocks until it is processed (ErrQueueFull when the pool is busy —
-	// request traffic has priority; ErrClosed during shutdown).
-	Recompile(roll *devreg.Roll, it *devreg.RecompItem) error
+	// Roll hands an opened calibration roll to the background lane, which
+	// re-trains its plan hottest-first whenever the pool is idle and calls
+	// roll.Finish when the plan is exhausted, superseded, or the service
+	// closes.
+	Roll(roll *devreg.Roll)
 
 	// QueueLen and QueueCap report the compile queue's depth and bound;
 	// Workers the pool size; InFlight the tasks currently executing.
@@ -65,13 +74,14 @@ type CompileService interface {
 	Workers() int
 	InFlight() int
 
-	// WarmSeeded totals trainings (serving and roll paths alike) that
-	// started from a similarity-admitted seed.
+	// WarmSeeded totals trainings (request and background paths alike)
+	// that started from a similarity-admitted seed.
 	WarmSeeded() int64
 
-	// Close drains queued work, answers stragglers with ErrClosed, and
-	// stops the workers. Pending async batches that never reached a
-	// worker fail their done callbacks with ErrClosed.
+	// Close stops the background lane, drains queued work, answers
+	// stragglers with ErrClosed, and stops the workers. Pending async
+	// batches that never reached a worker fail their done callbacks with
+	// ErrClosed.
 	Close()
 }
 
@@ -101,37 +111,29 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// task is one unit of worker-pool work: a synchronous compile request, a
-// flushed async batch, one recompilation item of a calibration roll, or
-// one speculative-training item of the prefetcher.
+// task is one unit of worker-pool work: a batch of requests (a
+// synchronous request is a batch of one) or one background-lane item.
 type task struct {
-	// req is set for synchronous tasks.
-	req *Request
-	// batch is set for flushed async batches (one shared resolve pass).
-	batch []*asyncTask
-	// recomp/roll are set for cross-epoch recompilation items.
-	recomp *devreg.RecompItem
-	roll   *devreg.Roll
-	// prefetch is set for speculative-training items (see prefetch.go).
-	prefetch *prefetchItem
-	// done answers synchronous, recomp, and prefetch tasks; nil for
-	// batches (their asyncTasks carry per-job callbacks).
-	done chan taskResult
-}
-
-type taskResult struct {
-	res *Result
-	err error
+	batch []*reqTask
+	bg    *bgItem
 }
 
 // Pool is the worker-pool CompileService.
 type Pool struct {
 	cfg   Config
 	tasks chan *task
-	quit  chan struct{}
-	wg    sync.WaitGroup
+	// closing is closed when Close begins: it stops the lane and
+	// interrupts flushes blocked on a full queue. quit is closed once no
+	// new task can enter the queue; workers then drain it and exit.
+	closing chan struct{}
+	quit    chan struct{}
+	// idle receives a token whenever a worker finishes a task and leaves
+	// the queue empty — the lane's wake-up while the pool is busy.
+	idle chan struct{}
+	wg   sync.WaitGroup
 
 	batcher *batcher
+	lane    *Lane
 
 	inFlight   atomic.Int64
 	warmSeeded atomic.Int64
@@ -147,70 +149,95 @@ type Pool struct {
 
 var _ CompileService = (*Pool)(nil)
 
-// New builds a pool and starts its workers.
+// New builds a pool and starts its workers and its background lane.
 func New(cfg Config) *Pool {
 	cfg = cfg.withDefaults()
 	p := &Pool{
-		cfg:   cfg,
-		tasks: make(chan *task, cfg.QueueDepth),
-		quit:  make(chan struct{}),
+		cfg:     cfg,
+		tasks:   make(chan *task, cfg.QueueDepth),
+		closing: make(chan struct{}),
+		quit:    make(chan struct{}),
+		idle:    make(chan struct{}, 1),
 	}
 	p.batcher = newBatcher(p, cfg.BatchWindow)
 	for i := 0; i < cfg.Workers; i++ {
 		p.wg.Add(1)
 		go p.worker()
 	}
+	p.lane = newLane(p)
 	return p
 }
 
-// enqueue submits a task unless the pool is closed or the queue is full.
-func (p *Pool) enqueue(t *task) error {
+// enqueue submits a task unless the pool is closed. A full queue answers
+// ErrQueueFull, or, with wait set (work already accepted, such as a
+// flushed async batch), blocks until a slot frees or Close begins.
+func (p *Pool) enqueue(t *task, wait bool) error {
 	p.closeMu.RLock()
 	defer p.closeMu.RUnlock()
 	if p.closed {
 		return ErrClosed
 	}
+	if !wait {
+		select {
+		case p.tasks <- t:
+			return nil
+		default:
+			return ErrQueueFull
+		}
+	}
 	select {
 	case p.tasks <- t:
 		return nil
-	default:
-		return ErrQueueFull
+	case <-p.closing:
+		return ErrClosed
 	}
+}
+
+// busy reports request traffic the background lane must yield to: a
+// queued task, or no free worker.
+func (p *Pool) busy() bool {
+	return p.QueueLen() > 0 || p.InFlight() >= p.Workers()
 }
 
 func (p *Pool) worker() {
 	defer p.wg.Done()
 	run := func(t *task) {
 		p.inFlight.Add(1)
-		defer p.inFlight.Add(-1)
-		switch {
-		case t.recomp != nil:
-			p.recompileOne(t.roll, t.recomp)
-			t.done <- taskResult{}
-		case t.prefetch != nil:
-			p.prefetchOne(t.prefetch)
-			t.done <- taskResult{}
-		case t.batch != nil:
-			p.runBatch(t.batch)
-		case t.req.Circuit:
-			circ, err := p.compileCircuit(t.req.Prog, t.req.NS, t.req.Waveforms, t.req.Trace)
-			t.done <- taskResult{res: &Result{Circ: circ}, err: err}
-		default:
-			resp, err := p.compile(t.req.Prog, t.req.NS, t.req.Trace)
-			t.done <- taskResult{res: &Result{Resp: resp}, err: err}
+		var answers []answer
+		if t.bg != nil {
+			p.retrain(t.bg)
+		} else {
+			for _, rt := range t.batch {
+				rt.queueSpan.End()
+			}
+			answers = p.runBatch(t.batch)
+		}
+		// Leave the in-flight count (and signal an idle pool) before
+		// answering, so a caller that follows up with a background cycle
+		// never finds its own finished task still counted as traffic.
+		p.inFlight.Add(-1)
+		if len(p.tasks) == 0 {
+			select {
+			case p.idle <- struct{}{}:
+			default:
+			}
+		}
+		if t.bg != nil {
+			close(t.bg.done)
+		}
+		for _, a := range answers {
+			a.rt.deliver(a.res, a.err)
 		}
 	}
 	for {
 		select {
 		case t := <-p.tasks:
-			t.endQueueSpans()
 			run(t)
 		case <-p.quit:
 			// Drain whatever is already queued so no caller hangs.
 			for {
 				select {
 				case t := <-p.tasks:
-					t.endQueueSpans()
 					run(t)
 				default:
 					return
@@ -220,31 +247,27 @@ func (p *Pool) worker() {
 	}
 }
 
-// endQueueSpans closes the queue-wait spans at worker pickup.
-func (t *task) endQueueSpans() {
-	if t.batch != nil {
-		for _, at := range t.batch {
-			at.queueSpan.End()
-		}
-		return
-	}
-	if t.req != nil {
-		t.req.queueSpan.End()
-	}
-}
-
-// Do runs one request synchronously through the pool.
+// Do runs one request synchronously through the pool as a batch of one.
 func (p *Pool) Do(req *Request) (*Result, error) {
-	t := &task{req: req, done: make(chan taskResult, 1)}
-	req.queueSpan = req.Trace.StartSpan("queue")
-	if err := p.enqueue(t); err != nil {
-		req.queueSpan = nil // dropped unended: rejected before queuing
+	// The task, its request and its one-element batch share one
+	// allocation: this is the warm path of every sync request.
+	call := &struct {
+		task
+		rt  reqTask
+		one [1]*reqTask
+	}{}
+	reply := make(chan answer, 1)
+	call.rt = reqTask{req: req, reply: reply, queueSpan: req.Trace.StartSpan("queue")}
+	call.one[0] = &call.rt
+	call.batch = call.one[:]
+	if err := p.enqueue(&call.task, false); err != nil {
+		// The queue span is dropped unended: rejected before queuing.
 		return nil, err
 	}
 	// Wait for the worker even if the caller's client goes away: the
 	// training is already paid for and warms the shared library.
-	r := <-t.done
-	return r.res, r.err
+	a := <-reply
+	return a.res, a.err
 }
 
 // Submit enqueues one request for asynchronous, batched execution.
@@ -252,15 +275,12 @@ func (p *Pool) Submit(req *Request, start func() bool, done func(*Result, error)
 	return p.batcher.add(req, start, done)
 }
 
-// Recompile runs one roll item on the pool, blocking until processed.
-func (p *Pool) Recompile(roll *devreg.Roll, it *devreg.RecompItem) error {
-	t := &task{recomp: it, roll: roll, done: make(chan taskResult, 1)}
-	if err := p.enqueue(t); err != nil {
-		return err
-	}
-	r := <-t.done
-	return r.err
-}
+// Roll hands an opened calibration roll to the background lane.
+func (p *Pool) Roll(roll *devreg.Roll) { p.lane.offer(roll) }
+
+// Lane exposes the background lane (prefetch enablement, its counters,
+// and its deterministic single-cycle entry point).
+func (p *Pool) Lane() *Lane { return p.lane }
 
 // QueueLen reports tasks waiting in the queue (not yet picked up).
 func (p *Pool) QueueLen() int { return len(p.tasks) }
@@ -277,38 +297,44 @@ func (p *Pool) InFlight() int { return int(p.inFlight.Load()) }
 // WarmSeeded totals seed-admitted trainings across the pool's lifetime.
 func (p *Pool) WarmSeeded() int64 { return p.warmSeeded.Load() }
 
-// Close stops the pool after draining queued tasks. Unflushed async
-// batches and tasks swept out of the queue are answered with ErrClosed.
+// Close stops the pool: the lane first (its items ride the request queue,
+// so it must be quiet before the final sweep; open rolls are finished),
+// then the queue drains. Unflushed async batches and tasks swept out of
+// the queue are answered with ErrClosed. Idempotent.
 func (p *Pool) Close() {
-	p.closeMu.Lock()
-	p.closed = true
-	p.closeMu.Unlock()
-	// Fail async submissions still waiting in the batcher: their batch
-	// would otherwise spin on a closed queue. Flushed batches already in
-	// the channel are drained (and executed) by the workers below.
-	p.batcher.close()
-	p.closeOnce.Do(func() { close(p.quit) })
-	p.wg.Wait()
-	// Fail anything that slipped into the queue between the workers'
-	// drain sweep and their exit (possible only for tasks enqueued before
-	// closed was set, so this sweep is the last).
-	for {
-		select {
-		case t := <-p.tasks:
-			t.fail(ErrClosed)
-		default:
-			return
+	p.closeOnce.Do(func() {
+		close(p.closing)
+		p.lane.stop()
+		p.closeMu.Lock()
+		p.closed = true
+		p.closeMu.Unlock()
+		// Fail async submissions still waiting in the batcher. Flushed
+		// batches already in the channel are drained (and executed) by
+		// the workers below.
+		p.batcher.close()
+		close(p.quit)
+		p.wg.Wait()
+		// Fail anything that slipped into the queue between the workers'
+		// drain sweep and their exit (possible only for tasks enqueued
+		// before closed was set, so this sweep is the last).
+		for {
+			select {
+			case t := <-p.tasks:
+				t.fail(ErrClosed)
+			default:
+				return
+			}
 		}
-	}
+	})
 }
 
 // fail answers a swept task with err, whatever its kind.
 func (t *task) fail(err error) {
-	if t.batch != nil {
-		for _, at := range t.batch {
-			at.fail(err)
-		}
+	if t.bg != nil {
+		close(t.bg.done) // outcome stays bgYielded
 		return
 	}
-	t.done <- taskResult{err: err}
+	for _, rt := range t.batch {
+		rt.fail(err)
+	}
 }

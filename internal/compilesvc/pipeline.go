@@ -1,24 +1,18 @@
 package compilesvc
 
-// This file is the extracted plan/execute core of the serving pipeline:
-// Prepare, a stats-neutral coverage plan that MST-orders a request's
-// cache misses (§V-C), singleflight training along the tree edges with
-// warm-start seeds from the namespace's similarity index, and Algorithm 3
-// latency assembly. It moved here verbatim from internal/server when the
-// stack split into routing and training tiers; the only addition is the
-// optional per-key outcome tally that lets a shared async-batch pass
-// rebuild per-request counters afterwards.
+// This file is the plan/execute core of the serving pipeline: a
+// stats-neutral coverage plan that MST-orders a batch's cache misses
+// (§V-C), then singleflight training along the tree edges with warm-start
+// seeds from the namespace's similarity index. A pass reports per-key
+// outcomes rather than request counters, so one pass can serve a whole
+// batch of requests.
 
 import (
 	"sort"
-	"time"
 
-	"accqoc"
-	"accqoc/internal/circuit"
 	"accqoc/internal/cmat"
 	"accqoc/internal/devreg"
 	"accqoc/internal/grouping"
-	"accqoc/internal/latency"
 	"accqoc/internal/libstore"
 	"accqoc/internal/obs"
 	"accqoc/internal/precompile"
@@ -129,9 +123,12 @@ func seedFor(ns *devreg.Namespace, fn similarity.Func, st trainStep, trained []*
 	return nil, 0
 }
 
-// keyOutcome records how one unique key resolved during a shared pass,
-// so per-request counters can be rebuilt from a batch's union resolve.
+// keyOutcome records how one unique key resolved during a shared pass:
+// the entry its tail reads (nil when the training failed), and the
+// outcome each request of the batch counts its own counters from (seeded
+// and iterations are meaningful only for a successful training).
 type keyOutcome struct {
+	entry      *precompile.Entry
 	outcome    libstore.Outcome
 	failed     bool
 	iterations int
@@ -140,17 +137,15 @@ type keyOutcome struct {
 }
 
 // resolve fetches or trains one unique group through the namespace
-// store's singleflight and updates the response counters. plan, when
-// non-nil, supplies the warm-start seed, its distance, and the group's
-// canonical target unitary; it is consulted only if this call actually
-// executes the training (a hit or a joined in-flight training never
-// evaluates it). A returned unitary pre-indexes the freshly trained entry
-// under its target so the store hook's propagation is skipped (the index
-// dedups on pulse identity). tally, when non-nil, additionally records
-// the per-key outcome for batch accounting.
-func (p *Pool) resolve(ns *devreg.Namespace, resp *CompileResponse, entries map[string]*precompile.Entry, u *grouping.UniqueGroup, cfg precompile.Config, plan func() (*precompile.Entry, float64, *cmat.Matrix), tr *obs.Trace, tally map[string]*keyOutcome) *precompile.Entry {
-	var seedDist float64
-	var seeded bool
+// store's singleflight. plan, when non-nil, supplies the warm-start seed,
+// its distance, and the group's canonical target unitary; it is consulted
+// only if this call actually executes the training (a hit or a joined
+// in-flight training never evaluates it). A returned unitary pre-indexes
+// the freshly trained entry under its target so the store hook's
+// propagation is skipped (the index dedups on pulse identity). The entry
+// is nil when the training failed.
+func (p *Pool) resolve(ns *devreg.Namespace, u *grouping.UniqueGroup, cfg precompile.Config, plan func() (*precompile.Entry, float64, *cmat.Matrix), tr *obs.Trace) (*precompile.Entry, keyOutcome) {
+	var ko keyOutcome
 	sp := tr.StartSpan("train")
 	e, outcome, err := ns.Store.GetOrTrain(u.Key, func() (*precompile.Entry, error) {
 		var seed *precompile.Entry
@@ -159,7 +154,7 @@ func (p *Pool) resolve(ns *devreg.Namespace, resp *CompileResponse, entries map[
 			var d float64
 			seed, d, unitary = plan()
 			if seed != nil && seed.Pulse != nil {
-				seeded, seedDist = true, d
+				ko.seeded, ko.seedDist = true, d
 			}
 		}
 		trained, terr := precompile.TrainGroup(u, cfg, seed)
@@ -168,127 +163,59 @@ func (p *Pool) resolve(ns *devreg.Namespace, resp *CompileResponse, entries map[
 		}
 		return trained, terr
 	})
-	if outcome == libstore.OutcomeHit {
-		resp.CoveredGroups += u.Count
-		// A hit span is never ended: warm requests would otherwise bloat
-		// every trace with hundreds of no-op lookups.
-	} else {
-		// Trained here or joined another request's in-flight training:
-		// either way this request waited on GRAPE for the group.
-		resp.UncoveredUnique++
-		if outcome == libstore.OutcomeTrained && err == nil {
-			resp.TrainingIterations += e.Iterations
-			if seeded {
-				resp.WarmSeeded++
-				resp.seedDistanceSum += seedDist
-				p.warmSeeded.Add(1)
+	ko.outcome, ko.failed = outcome, err != nil
+	trained := outcome == libstore.OutcomeTrained && err == nil
+	if trained {
+		ko.iterations = e.Iterations
+		if ko.seeded {
+			p.warmSeeded.Add(1)
+		}
+	}
+	// A hit span is never ended: warm requests would otherwise bloat
+	// every trace with hundreds of no-op lookups.
+	if sp != nil && outcome != libstore.OutcomeHit {
+		sp.Key = u.Key
+		sp.Outcome = outcomeString(outcome)
+		sp.Coalesced = outcome == libstore.OutcomeJoined
+		if trained {
+			sp.Iterations = e.Iterations
+			sp.Infidelity = e.Infidelity
+			sp.SeedDistance = -1 // trained cold
+			if ko.seeded {
+				sp.SeedDistance = ko.seedDist
 			}
 		}
-		if sp != nil {
-			sp.Key = u.Key
-			sp.Outcome = outcomeString(outcome)
-			sp.Coalesced = outcome == libstore.OutcomeJoined
-			if outcome == libstore.OutcomeTrained && err == nil {
-				sp.Iterations = e.Iterations
-				sp.Infidelity = e.Infidelity
-				if seeded {
-					sp.SeedDistance = seedDist
-				} else {
-					sp.SeedDistance = -1 // trained cold
-				}
-			}
-			sp.End()
-		}
-	}
-	if tally != nil {
-		ko := &keyOutcome{outcome: outcome, failed: err != nil}
-		if outcome == libstore.OutcomeTrained && err == nil {
-			ko.iterations = e.Iterations
-			ko.seeded = seeded
-			ko.seedDist = seedDist
-		}
-		tally[u.Key] = ko
+		sp.End()
 	}
 	if err != nil {
-		// Unreachable within the bracket: price it gate-based below.
-		resp.FailedGroups++
-		return nil
+		return nil, ko
 	}
-	entries[u.Key] = e
-	return e
+	return e, ko
 }
 
-// compile runs the serving-side pipeline for one namespace in a
-// plan/execute shape: Prepare, a stats-neutral coverage plan that
-// MST-orders the request's cache misses, singleflight training along the
-// tree edges with warm-start seeds, and Algorithm 3 latency assembly.
-func (p *Pool) compile(prog *circuit.Circuit, ns *devreg.Namespace, tr *obs.Trace) (*CompileResponse, error) {
-	begin := time.Now()
-	sp := tr.StartSpan("prepare")
-	prep, err := ns.Comp.Prepare(prog)
-	if err != nil {
-		return nil, err
-	}
-	gr := prep.Grouping
-	keys, err := precompile.Keys(gr)
-	if err != nil {
-		return nil, err
-	}
-	sp.End()
-
-	resp := &CompileResponse{
-		Qubits:      prog.NumQubits,
-		Gates:       prog.GateCount(),
-		Epoch:       ns.Epoch,
-		TotalGroups: len(gr.Groups),
-	}
-
-	// Deduplicate occurrences against the precomputed keys, then resolve
-	// every unique group: a warm key is a store hit; a cold key trains
-	// exactly once across all concurrent requests (singleflight).
-	uniq := grouping.DeduplicateKeyed(gr.Groups, keys)
-	entries := p.resolveGroups(ns, resp, uniq, tr, nil)
-
-	sp = tr.StartSpan("latency")
-	dev := ns.Comp.Options().Device
-	overall, err := latency.OverallGroups(gr, func(i int) (float64, error) {
-		if e, ok := entries[keys[i]]; ok {
-			return e.LatencyNs, nil
-		}
-		return accqoc.GateFallbackNs(gr.Groups[i], dev.Calibration), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	finalizeResponse(resp, prep.Physical, dev, overall, begin)
-	sp.End()
-	return resp, nil
-}
-
-// resolveGroups is the shared resolution core of the compile and circuit
-// paths: every unique group of a request resolves against the namespace
-// store — a warm key is a hit, a cold key trains exactly once across all
-// concurrent requests (singleflight), MST-ordered with warm-start seeds
-// when the seed index is on. It fills the response's coverage, training
-// and seeding counters and returns the resolved entries by key. tally,
-// when non-nil, records per-key outcomes for batch accounting.
-func (p *Pool) resolveGroups(ns *devreg.Namespace, resp *CompileResponse, uniq []*grouping.UniqueGroup, tr *obs.Trace, tally map[string]*keyOutcome) map[string]*precompile.Entry {
-	entries := make(map[string]*precompile.Entry, len(uniq))
+// resolveGroups is the shared resolution core of every request batch:
+// each unique group resolves against the namespace store — a warm key is
+// a hit, a cold key trains exactly once across all concurrent requests
+// (singleflight), MST-ordered with warm-start seeds when the seed index
+// is on. It returns the per-key outcomes, resolved entries included.
+func (p *Pool) resolveGroups(ns *devreg.Namespace, uniq []*grouping.UniqueGroup, tr *obs.Trace) map[string]keyOutcome {
+	tally := make(map[string]keyOutcome, len(uniq))
 	cfg := ns.Comp.Options().Precompile
 	simFn := ns.SimilarityFn()
-	switch {
-	case ns.Seeds == nil:
-		// Index disabled: resolve in deduplication order with cold
-		// random-init trainings — the pre-index serving path, preserved
-		// byte for byte.
-		for _, u := range uniq {
-			p.resolve(ns, resp, entries, u, cfg, nil, tr, tally)
-		}
-	default:
+	record := func(u *grouping.UniqueGroup, plan func() (*precompile.Entry, float64, *cmat.Matrix)) *precompile.Entry {
+		e, ko := p.resolve(ns, u, cfg, plan, tr)
+		ko.entry = e
+		tally[u.Key] = ko
+		return e
+	}
+	var steps []trainStep
+	var covered, cold []*grouping.UniqueGroup
+	planned := false
+	if ns.Seeds != nil {
 		// Plan: partition into covered and cold without touching
 		// counters or LRU order, then MST-order the cold set.
 		psp := tr.StartSpan("plan")
-		var covered, cold []*grouping.UniqueGroup
+		covered = make([]*grouping.UniqueGroup, 0, len(uniq))
 		for _, u := range uniq {
 			if ns.Store.Contains(u.Key) {
 				covered = append(covered, u)
@@ -296,28 +223,32 @@ func (p *Pool) resolveGroups(ns *devreg.Namespace, resp *CompileResponse, uniq [
 				cold = append(cold, u)
 			}
 		}
-		steps, perr := planColdSteps(cold, simFn)
+		var perr error
+		steps, perr = planColdSteps(cold, simFn)
+		planned = perr == nil
 		psp.End()
-		if perr != nil {
-			// Planning must never fail a request harder than the legacy
-			// path would: the same defect (an unbuildable group unitary,
-			// a broken similarity function) surfaces inside TrainGroup
-			// on the legacy path, where the group is priced gate-based
-			// and counted in failed_groups. Fall back to exactly that.
-			for _, u := range uniq {
-				p.resolve(ns, resp, entries, u, cfg, nil, tr, tally)
-			}
-			break
+	}
+	if !planned {
+		// Index disabled: resolve in deduplication order with cold
+		// random-init trainings — the pre-index serving path, preserved
+		// byte for byte. Planning must also never fail a request harder
+		// than that path would: the same defect (an unbuildable group
+		// unitary, a broken similarity function) surfaces inside
+		// TrainGroup there, where the group is priced gate-based and
+		// counted in failed_groups.
+		for _, u := range uniq {
+			record(u, nil)
 		}
+	} else {
 		// Execute: covered keys resolve as hits first, then the cold
 		// set trains along the tree edges; every trained group becomes
-		// a seed candidate for its MST children later in this request.
+		// a seed candidate for its MST children later in this pass.
 		for _, u := range covered {
 			u := u
 			// A hit never evaluates the closure; it exists for the rare
 			// key evicted between plan and execute, which then trains as
 			// an identity-rooted step (index-seeded) instead of cold.
-			p.resolve(ns, resp, entries, u, cfg, func() (*precompile.Entry, float64, *cmat.Matrix) {
+			record(u, func() (*precompile.Entry, float64, *cmat.Matrix) {
 				m, uerr := u.Group.Unitary()
 				if uerr != nil {
 					return nil, 0, nil
@@ -325,84 +256,30 @@ func (p *Pool) resolveGroups(ns *devreg.Namespace, resp *CompileResponse, uniq [
 				cu := precompile.CanonicalUnitary(m)
 				seed, d := seedFor(ns, simFn, trainStep{uniq: u, unitary: cu, warmFrom: -1}, nil)
 				return seed, d, cu
-			}, tr, tally)
+			})
 		}
 		trained := make([]*precompile.Entry, len(cold))
 		for _, st := range steps {
 			st := st
-			trained[st.cold] = p.resolve(ns, resp, entries, st.uniq, cfg,
-				func() (*precompile.Entry, float64, *cmat.Matrix) {
-					seed, d := seedFor(ns, simFn, st, trained)
-					return seed, d, st.unitary
-				}, tr, tally)
+			trained[st.cold] = record(st.uniq, func() (*precompile.Entry, float64, *cmat.Matrix) {
+				seed, d := seedFor(ns, simFn, st, trained)
+				return seed, d, st.unitary
+			})
 		}
 	}
-	if resp.WarmSeeded > 0 {
-		resp.SeedDistance = resp.seedDistanceSum / float64(resp.WarmSeeded)
-	}
-	if resp.TotalGroups > 0 {
-		resp.CoverageRate = float64(resp.CoveredGroups) / float64(resp.TotalGroups)
-	} else {
-		resp.CoverageRate = 1
-	}
-	resp.WarmServed = resp.UncoveredUnique == 0
 	if ns.Usage != nil && len(uniq) > 0 {
 		// File the request window with the cost ledger: resolveGroups is
-		// the single chokepoint of the compile, circuit, and async-batch
-		// paths, so a batch's shared pass records its union as one
-		// co-occurrence window. Pure observation — no decision downstream
-		// of this call reads the ledger.
+		// the single chokepoint of every request, so a batch's shared
+		// pass records its union as one co-occurrence window. Pure
+		// observation — no decision downstream of this call reads the
+		// ledger.
 		keys := make([]string, len(uniq))
 		for i, u := range uniq {
 			keys[i] = u.Key
 		}
 		ns.Usage.RecordRequest(keys)
 	}
-	return entries
-}
-
-// recompileOne executes one cross-epoch recompilation item on a worker:
-// re-train the old epoch's entry toward its cached target unitary under
-// the new epoch's physics, seeded by the old pulse at its native duration.
-// The new store's singleflight arbitrates against request traffic — if a
-// serving-path miss already covered (or is covering) the key, the item is
-// counted skipped rather than trained twice.
-func (p *Pool) recompileOne(roll *devreg.Roll, it *devreg.RecompItem) {
-	ns := roll.New
-	if ns.Store.Contains(it.Key) {
-		roll.Note(true, false, false, 0)
-		return
-	}
-	seeded := it.Old.Pulse != nil
-	var iters int
-	_, outcome, err := ns.Store.GetOrTrain(it.Key, func() (*precompile.Entry, error) {
-		e, terr := precompile.RetrainEntry(it.Old, it.Unitary, ns.Comp.Options().Precompile)
-		if terr != nil {
-			return nil, terr
-		}
-		iters = e.Iterations
-		if ns.Seeds != nil {
-			// Pre-index under the known target so the store hook skips
-			// its propagation (same zero-propagation invariant as the
-			// serving path).
-			ns.Seeds.InsertWithUnitary(e, it.Unitary)
-		}
-		return e, terr
-	})
-	switch {
-	case outcome == libstore.OutcomeTrained && err == nil:
-		roll.Note(false, false, seeded, iters)
-		if seeded {
-			p.warmSeeded.Add(1)
-		}
-	case outcome == libstore.OutcomeTrained:
-		roll.Note(false, true, false, iters)
-	default:
-		// Hit, or joined a concurrent request's training (whatever its
-		// outcome): the racing miss owns that work — the roll item is
-		// skipped, not failed.
-		roll.Note(true, false, false, 0)
-	}
+	return tally
 }
 
 // outcomeString names a store outcome for trace spans.

@@ -34,10 +34,6 @@ type Request struct {
 	// Trace is the request's pipeline trace; nil when observability is
 	// off (every span call is nil-safe).
 	Trace *obs.Trace
-
-	// queueSpan times the handler→worker handoff on the synchronous
-	// path; the pool ends it at worker pickup.
-	queueSpan *obs.Span
 }
 
 // Result is the training tier's answer: exactly one of Resp (plain
@@ -90,10 +86,6 @@ type CompileResponse struct {
 	// CompileMillis is the server-side wall time for this request (for
 	// async jobs: submit to completion, batching window included).
 	CompileMillis float64 `json:"compile_millis"`
-
-	// seedDistanceSum accumulates admitted seed distances during
-	// resolution; folded into SeedDistance before the response is sent.
-	seedDistanceSum float64
 }
 
 // ScheduledPulseWire is one slot of the scheduled pulse program.

@@ -591,9 +591,10 @@ type RecompItem struct {
 	Unitary *cmat.Matrix
 }
 
-// Roll is an open calibration epoch transition. The caller (the server's
-// background pipeline) re-trains Plan into New most-requested-first, then
-// calls Finish. Old and New each hold a reference until Finish.
+// Roll is an open calibration epoch transition. The caller (the training
+// tier's background lane) re-trains Plan into New most-requested-first,
+// taking items with Next and recording each with Note, then calls Finish.
+// Old and New each hold a reference until Finish.
 type Roll struct {
 	Device string
 	Epoch  int
@@ -606,6 +607,10 @@ type Roll struct {
 
 	dev  *deviceState
 	once sync.Once
+	// next is the cursor into Plan (guarded by dev.mu): Note advances it,
+	// so an item that was offered but not processed is offered again.
+	next int
+	done chan struct{}
 }
 
 // Calibrate opens a new calibration epoch for a device: it applies the
@@ -657,7 +662,7 @@ func (r *Registry) Calibrate(name string, u CalibrationUpdate) (*Roll, error) {
 	// Build the plan while holding the device lock so the epoch counter,
 	// roll status, and plan are consistent; the store and index snapshots
 	// below take only their own locks.
-	roll := &Roll{Device: name, Epoch: epoch, Old: old, New: next, dev: d}
+	roll := &Roll{Device: name, Epoch: epoch, Old: old, New: next, dev: d, done: make(chan struct{})}
 	old.refs.Add(1)
 	next.refs.Add(1)
 	if old.Seeds != nil {
@@ -682,11 +687,24 @@ func (r *Registry) Calibrate(name string, u CalibrationUpdate) (*Roll, error) {
 	return roll, nil
 }
 
-// Note records one processed plan item on the device's roll status.
+// Next returns the plan item at the roll's cursor; false once every item
+// has been noted.
+func (roll *Roll) Next() (*RecompItem, bool) {
+	roll.dev.mu.Lock()
+	defer roll.dev.mu.Unlock()
+	if roll.next >= len(roll.Plan) {
+		return nil, false
+	}
+	return &roll.Plan[roll.next], true
+}
+
+// Note records one processed plan item on the device's roll status and
+// advances the cursor past it.
 func (roll *Roll) Note(skipped, failed, seeded bool, iterations int) {
 	d := roll.dev
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	roll.next++
 	if d.roll.Epoch != roll.Epoch {
 		return // a newer roll took over the status
 	}
@@ -725,7 +743,7 @@ func (roll *Roll) Superseded() bool {
 
 // Finish closes the roll: marks it inactive and drops the references on
 // both namespaces, which retires the old epoch once its last in-flight
-// request drains. Idempotent.
+// request drains, then closes Done. Idempotent.
 func (roll *Roll) Finish() {
 	roll.once.Do(func() {
 		d := roll.dev
@@ -736,5 +754,9 @@ func (roll *Roll) Finish() {
 		d.mu.Unlock()
 		roll.Old.Release()
 		roll.New.Release()
+		close(roll.done)
 	})
 }
+
+// Done returns a channel that closes when Finish has run.
+func (roll *Roll) Done() <-chan struct{} { return roll.done }

@@ -75,9 +75,10 @@ func BenchmarkServeColdVsWarm(b *testing.B) {
 // benchEpochRoll measures the cross-epoch recompilation cost for one
 // calibration event: epoch 0 is warmed with a 1q and a 2q group, the
 // calibration drifts ±2%, and every covered group re-trains for epoch 1.
-// The warm arm drives the server's real pipeline unit (recompileOne:
-// seeded by the old-epoch pulse at its native duration); the cold arm
-// strips the seeds — what every recalibration cost before the registry.
+// The warm arm hands the roll to the training tier's background lane
+// (its retrain unit seeds each item by the old-epoch pulse at its native
+// duration); the cold arm strips the seeds — what every recalibration
+// cost before the registry.
 // grape-iters/op is the summed re-training cost per roll. Fidelity is
 // tightened to 1e-3 so iteration counts are meaningful; GRAPE is seeded,
 // so they are deterministic — wall clock on the shared box is not the
@@ -104,11 +105,10 @@ func benchEpochRoll(b *testing.B, warm bool) {
 			b.Fatalf("plan has %d items, want 2", len(roll.Plan))
 		}
 		if warm {
-			for j := range roll.Plan {
-				if rerr := s.svc.Recompile(roll, &roll.Plan[j]); rerr != nil {
-					b.Fatal(rerr)
-				}
-			}
+			// The background lane re-trains the plan on the idle pool and
+			// finishes the roll.
+			s.svc.Roll(roll)
+			<-roll.Done()
 			st := roll.Status()
 			// The acceptance invariant: the warm path seeds every
 			// re-trained group from its old-epoch pulse.

@@ -9,16 +9,15 @@ import (
 	"sync"
 	"time"
 
-	"accqoc/internal/compilesvc"
 	"accqoc/internal/devreg"
 	"accqoc/internal/jobs"
 )
 
 // This file is the calibration-epoch surface of the server: the admin
 // endpoints (GET /v1/devices, POST /v1/devices/{name}/calibrate), the
-// background cross-epoch recompilation pipeline that runs on the shared
-// worker pool, the asynchronous boot-snapshot load, and the readiness
-// handler that reports all of it.
+// hand-over of each calibration's recompilation roll to the training
+// tier's background lane, the asynchronous boot-snapshot load, and the
+// readiness handler that reports all of it.
 
 // CalibrateResponse is the POST /v1/devices/{name}/calibrate body.
 type CalibrateResponse struct {
@@ -75,11 +74,12 @@ var (
 	errBootPending = errors.New("boot snapshot still loading; retry shortly")
 )
 
-// calibrate opens a new epoch for a device and starts its background
-// recompilation roll. Calibrations are refused while the boot snapshot
-// is still loading: the load targets the boot epoch's namespace, and an
-// epoch swap mid-load would strand the snapshot's entries in a draining
-// store (and lose them at the next shutdown save).
+// calibrate opens a new epoch for a device and hands its recompilation
+// roll to the training tier's background lane. Calibrations are refused
+// while the boot snapshot is still loading: the load targets the boot
+// epoch's namespace, and an epoch swap mid-load would strand the
+// snapshot's entries in a draining store (and lose them at the next
+// shutdown save).
 func (s *Server) calibrate(name string, upd devreg.CalibrationUpdate) (*devreg.Roll, error) {
 	if s.closed.Load() {
 		return nil, errClosed
@@ -96,8 +96,7 @@ func (s *Server) calibrate(name string, upd devreg.CalibrationUpdate) (*devreg.R
 		"device", roll.Device,
 		"epoch", roll.Epoch,
 		"planned", len(roll.Plan))
-	s.rollWG.Add(1)
-	go s.runRoll(roll)
+	s.svc.Roll(roll)
 	return roll, nil
 }
 
@@ -112,38 +111,6 @@ func (s *Server) CalibrateDefault(upd devreg.CalibrationUpdate) (epoch, planned 
 		return 0, 0, err
 	}
 	return roll.Epoch, len(roll.Plan), nil
-}
-
-// runRoll drives one calibration roll to completion: each plan item is
-// fed to the training tier one at a time (so the roll never monopolizes
-// workers or starves request traffic) and the old epoch is released for
-// retirement when the plan is exhausted or the server shuts down. The
-// recompilation itself — retrain toward the cached target unitary under
-// the new epoch's physics, arbitrated against request traffic by the new
-// store's singleflight — lives in the training tier.
-func (s *Server) runRoll(roll *devreg.Roll) {
-	defer s.rollWG.Done()
-	defer roll.Finish()
-	for i := range roll.Plan {
-		// A newer calibration makes the rest of this plan training into a
-		// dead epoch: abandon it so the obsolete namespace can retire and
-		// the workers go to the live roll.
-		if roll.Superseded() {
-			return
-		}
-		it := &roll.Plan[i]
-		for {
-			err := s.svc.Recompile(roll, it)
-			if err == nil {
-				break
-			}
-			if errors.Is(err, compilesvc.ErrClosed) || s.closed.Load() {
-				return
-			}
-			// Queue full: request traffic has priority; retry shortly.
-			time.Sleep(5 * time.Millisecond)
-		}
-	}
 }
 
 // bootState tracks the asynchronous boot-snapshot load gating readiness.
@@ -172,9 +139,9 @@ func (s *Server) startBootLoad() {
 	want := ns.Profile.Fingerprint()
 	path := s.cfg.BootSnapshot
 	force := s.cfg.BootSnapshotForce
-	s.rollWG.Add(1)
+	s.bootWG.Add(1)
 	go func() {
-		defer s.rollWG.Done()
+		defer s.bootWG.Done()
 		var mtime time.Time
 		if fi, err := os.Stat(path); err == nil {
 			mtime = fi.ModTime()

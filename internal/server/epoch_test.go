@@ -166,6 +166,17 @@ func getDevices(t *testing.T, url string) DevicesResponse {
 	return out
 }
 
+// rollRecorder passes every roll on to the training tier and records it.
+type rollRecorder struct {
+	compilesvc.CompileService
+	rolls chan *devreg.Roll
+}
+
+func (r *rollRecorder) Roll(roll *devreg.Roll) {
+	r.CompileService.Roll(roll)
+	r.rolls <- roll
+}
+
 // TestServerCalibrateEpochRoll is the subsystem's demo: warm a device,
 // recalibrate with a ±2% drift, and watch the background roll re-cover
 // every group in the new epoch — warm-seeded from the old epoch's pulses —
@@ -174,7 +185,13 @@ func TestServerCalibrateEpochRoll(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains pulses; skipped in -short")
 	}
-	s, ts := newTestServer(t)
+	// Record the roll handed to the training tier, so the test can wait
+	// on its completion.
+	s := New(Config{Compile: fastOpts(), Workers: 8})
+	rec := &rollRecorder{CompileService: s.svc, rolls: make(chan *devreg.Roll, 1)}
+	s.svc = rec
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(func() { ts.Close(); s.Close() })
 
 	// Warm epoch 0 with two distinct 1q groups.
 	for _, prog := range []string{rxAProgram, rxBProgram} {
@@ -207,18 +224,16 @@ func TestServerCalibrateEpochRoll(t *testing.T) {
 		t.Fatalf("calibrate response %+v, want epoch 1 with 2 planned", cal)
 	}
 
-	// The roll runs on the worker pool in the background; wait for it.
-	deadline := time.Now().Add(30 * time.Second)
-	var dev devreg.DeviceStatus
-	for {
-		dev = getDevices(t, ts.URL).Devices[0]
-		if !dev.Recompile.Active && dev.Epoch == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("roll did not finish: %+v", dev)
-		}
-		time.Sleep(10 * time.Millisecond)
+	// The roll runs on the background lane; wait for it to finish.
+	roll := <-rec.rolls
+	select {
+	case <-roll.Done():
+	case <-time.After(30 * time.Second):
+		t.Fatalf("roll did not finish: %+v", getDevices(t, ts.URL).Devices[0])
+	}
+	dev := getDevices(t, ts.URL).Devices[0]
+	if dev.Recompile.Active || dev.Epoch != 1 {
+		t.Fatalf("device after roll %+v, want epoch 1 inactive", dev)
 	}
 	if dev.Recompile.Done != 2 || dev.Recompile.Failed != 0 {
 		t.Fatalf("roll progress %+v, want 2 done", dev.Recompile)

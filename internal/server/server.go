@@ -19,9 +19,10 @@
 // namespace store singleflight.
 //
 // A calibration event (POST /v1/devices/{name}/calibrate) opens a new
-// epoch and starts a background recompilation roll that feeds the shared
-// pool one item at a time through the service's Recompile, so serving
-// never blocks on a recalibration.
+// epoch and hands its recompilation roll to the training tier's
+// background lane (the service's Roll), which re-trains the old epoch's
+// entries one at a time whenever the pool is idle, so serving never
+// blocks on a recalibration.
 package server
 
 import (
@@ -140,9 +141,6 @@ type Config struct {
 	EnablePrefetch bool
 	// PrefetchInterval is the prefetcher's idle-cycle period. Default 50ms.
 	PrefetchInterval time.Duration
-	// PrefetchDepth is how many ranked predictions the prefetcher examines
-	// per device per cycle. Default 4.
-	PrefetchDepth int
 	// Logger receives the server's structured events (boot-snapshot load,
 	// calibration epochs, request failures), each stamped with the
 	// request ID when one is in scope. Default slog.Default().
@@ -245,17 +243,15 @@ type Server struct {
 	// svc is the training tier: the only way this package reaches the
 	// compile pipeline.
 	svc compilesvc.CompileService
-	// prefetcher is the idle-cycle speculative-training driver; nil unless
-	// Config.EnablePrefetch.
-	prefetcher *compilesvc.Prefetcher
+	// prefetcher is the training tier's background lane, set only when
+	// Config.EnablePrefetch turned its prefetch source on.
+	prefetcher *compilesvc.Lane
 	// jobStore backs the async job API; nil under DisableAsyncJobs.
 	jobStore *jobs.Store
 
-	// rollWG tracks background goroutines outside the worker pool: the
-	// boot-snapshot load and calibration-roll drivers. Close waits for
-	// them after the training tier drains (a roll driver blocked on a
-	// Recompile is answered by the service's shutdown sweep).
-	rollWG sync.WaitGroup
+	// bootWG tracks the asynchronous boot-snapshot load; Close waits
+	// for it after the training tier drains.
+	bootWG sync.WaitGroup
 	start  time.Time
 
 	requests, failures, rejected atomic.Int64
@@ -326,10 +322,8 @@ func New(cfg Config) *Server {
 		logger:   cfg.Logger,
 	}
 	if cfg.EnablePrefetch {
-		s.prefetcher = compilesvc.NewPrefetcher(pool, reg, compilesvc.PrefetchOptions{
-			Interval: cfg.PrefetchInterval,
-			Depth:    cfg.PrefetchDepth,
-		})
+		s.prefetcher = pool.Lane()
+		s.prefetcher.StartPrefetch(reg, cfg.PrefetchInterval)
 	}
 	if !cfg.DisableAsyncJobs {
 		s.jobStore = jobs.NewStore(cfg.JobCap, cfg.JobTTL)
@@ -373,9 +367,10 @@ func (s *Server) Registry() *devreg.Registry { return s.registry }
 // Service exposes the training tier (tests, future admin surfaces).
 func (s *Server) Service() compilesvc.CompileService { return s.svc }
 
-// Prefetcher exposes the speculative-training driver (tests and replay
-// benchmarks drive its cycle deterministically); nil unless enabled.
-func (s *Server) Prefetcher() *compilesvc.Prefetcher { return s.prefetcher }
+// Prefetcher exposes the background lane whose prefetch source is on
+// (tests and replay benchmarks drive its cycle deterministically with
+// RunOnce and read its counters); nil unless prefetch is enabled.
+func (s *Server) Prefetcher() *compilesvc.Lane { return s.prefetcher }
 
 // Store exposes the default device's current-epoch pulse store.
 func (s *Server) Store() *libstore.Store { return s.defaultNS().Store }
@@ -393,22 +388,16 @@ func (s *Server) defaultNS() *devreg.Namespace {
 // Handler returns the HTTP handler (for http.Server or httptest).
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Close shuts the stack down back to front: the training tier drains its
-// queue (answering stragglers and unflushed async batches with
-// ErrClosed, which fails their jobs), roll drivers observe the closed
-// service and exit, and finally any job still queued in the store —
-// there should be none — is marked failed rather than stranded.
+// Close shuts the stack down back to front: the training tier stops its
+// background lane (finishing open rolls) and drains its queue (answering
+// stragglers and unflushed async batches with ErrClosed, which fails
+// their jobs), the boot loader finishes on its own, and finally any job
+// still queued in the store — there should be none — is marked failed
+// rather than stranded.
 func (s *Server) Close() {
 	s.closed.Store(true)
-	// The prefetcher goes first: its loop feeds the pool, and a
-	// speculation enqueued after the pool's sweep would hang the driver.
-	if s.prefetcher != nil {
-		s.prefetcher.Close()
-	}
 	s.svc.Close()
-	// Roll drivers observe ErrClosed (or their answered item) and exit;
-	// the boot loader finishes on its own.
-	s.rollWG.Wait()
+	s.bootWG.Wait()
 	if s.jobStore != nil {
 		s.jobStore.FailQueued(compilesvc.ErrClosed.Error())
 	}
