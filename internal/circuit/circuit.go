@@ -6,6 +6,7 @@ package circuit
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"accqoc/internal/cmat"
@@ -96,7 +97,8 @@ type DAG struct {
 }
 
 // BuildDAG constructs the dependency DAG and ASAP depths in one pass over
-// the gate list (which is already topologically ordered).
+// the gate list (which is already topologically ordered). Predecessor and
+// successor lists are carved from two shared backing arrays.
 func BuildDAG(c *Circuit) *DAG {
 	n := len(c.Gates)
 	d := &DAG{
@@ -105,16 +107,25 @@ func BuildDAG(c *Circuit) *DAG {
 		Succs:   make([][]int, n),
 		Depth:   make([]int, n),
 	}
+	wires := 0
+	for _, g := range c.Gates {
+		wires += len(g.Qubits)
+	}
+	// A gate has at most one predecessor per wire it touches, and so at
+	// most wires edges in all.
+	preds := make([]int, 0, wires)
+	succCount := make([]int, n)
 	last := make([]int, c.NumQubits) // last gate index touching each qubit
 	for i := range last {
 		last[i] = -1
 	}
 	for i, g := range c.Gates {
-		predSet := map[int]bool{}
+		start := len(preds)
 		depth := 0
 		for _, q := range g.Qubits {
-			if p := last[q]; p >= 0 {
-				predSet[p] = true
+			if p := last[q]; p >= 0 && !slices.Contains(preds[start:], p) {
+				preds = append(preds, p)
+				succCount[p]++
 				if d.Depth[p]+1 > depth {
 					depth = d.Depth[p] + 1
 				}
@@ -122,13 +133,21 @@ func BuildDAG(c *Circuit) *DAG {
 			last[q] = i
 		}
 		d.Depth[i] = depth
-		preds := make([]int, 0, len(predSet))
-		for p := range predSet {
-			preds = append(preds, p)
+		slices.Sort(preds[start:])
+		d.Preds[i] = preds[start:len(preds):len(preds)]
+	}
+	// Successors in increasing gate order, each list a window of succs
+	// sized by succCount (gates without successors keep a nil list).
+	succs := make([]int, len(preds))
+	off := 0
+	for p, k := range succCount {
+		if k > 0 {
+			d.Succs[p] = succs[off : off : off+k]
+			off += k
 		}
-		sort.Ints(preds)
-		d.Preds[i] = preds
-		for _, p := range preds {
+	}
+	for i, ps := range d.Preds {
+		for _, p := range ps {
 			d.Succs[p] = append(d.Succs[p], i)
 		}
 	}

@@ -3,6 +3,9 @@ package circuit
 import (
 	"math"
 	"math/cmplx"
+	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 
 	"accqoc/internal/cmat"
@@ -189,4 +192,64 @@ func TestUsedQubitsAndTwoQubitCount(t *testing.T) {
 	if c.TwoQubitGateCount() != 1 {
 		t.Fatal("TwoQubitGateCount wrong")
 	}
+}
+
+// TestBuildDAGMatchesMapReference checks BuildDAG against the per-gate
+// predecessor-set construction it replaced: Preds, Succs and Depth equal,
+// down to nil versus empty lists, on random circuits of one-, two- and
+// three-qubit gates.
+func TestBuildDAGMatchesMapReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	names := []gate.Name{gate.H, gate.CX, gate.CCX}
+	for trial := 0; trial < 300; trial++ {
+		c := New(1 + rng.Intn(6))
+		for g := rng.Intn(40); g > 0; g-- {
+			name := names[rng.Intn(len(names))]
+			k := map[gate.Name]int{gate.H: 1, gate.CX: 2, gate.CCX: 3}[name]
+			if k > c.NumQubits {
+				continue
+			}
+			c.MustAppend(name, rng.Perm(c.NumQubits)[:k])
+		}
+		got, want := BuildDAG(c), mapBuildDAG(c)
+		if !reflect.DeepEqual(got.Preds, want.Preds) || !reflect.DeepEqual(got.Succs, want.Succs) ||
+			!reflect.DeepEqual(got.Depth, want.Depth) {
+			t.Fatalf("trial %d: DAG differs from the reference\n got  %v %v %v\n want %v %v %v",
+				trial, got.Preds, got.Succs, got.Depth, want.Preds, want.Succs, want.Depth)
+		}
+	}
+}
+
+// mapBuildDAG is the reference construction: one predecessor set per gate.
+func mapBuildDAG(c *Circuit) *DAG {
+	n := len(c.Gates)
+	d := &DAG{Circuit: c, Preds: make([][]int, n), Succs: make([][]int, n), Depth: make([]int, n)}
+	last := make([]int, c.NumQubits)
+	for i := range last {
+		last[i] = -1
+	}
+	for i, g := range c.Gates {
+		predSet := map[int]bool{}
+		depth := 0
+		for _, q := range g.Qubits {
+			if p := last[q]; p >= 0 {
+				predSet[p] = true
+				if d.Depth[p]+1 > depth {
+					depth = d.Depth[p] + 1
+				}
+			}
+			last[q] = i
+		}
+		d.Depth[i] = depth
+		preds := make([]int, 0, len(predSet))
+		for p := range predSet {
+			preds = append(preds, p)
+		}
+		sort.Ints(preds)
+		d.Preds[i] = preds
+		for _, p := range preds {
+			d.Succs[p] = append(d.Succs[p], i)
+		}
+	}
+	return d
 }

@@ -286,7 +286,7 @@ func finish(plan *accqoc.GroupPlan, ns *devreg.Namespace, resp *CompileResponse,
 	if err != nil {
 		return nil, err
 	}
-	finalizeResponse(resp, plan.Prepared.Physical, dev, overall, rt.begin)
 	sp.End()
+	finalizeResponse(resp, plan.Prepared.Physical, dev, overall, rt.begin, tr)
 	return &Result{Resp: resp}, nil
 }

@@ -39,7 +39,7 @@ func assembleCircuit(plan *accqoc.GroupPlan, ns *devreg.Namespace, resp *Compile
 	}
 	vsp.End()
 
-	finalizeResponse(resp, plan.Prepared.Physical, dev, sched.MakespanNs, begin)
+	finalizeResponse(resp, plan.Prepared.Physical, dev, sched.MakespanNs, begin, tr)
 
 	out := &CircuitResponse{
 		Compile:    *resp,

@@ -140,8 +140,11 @@ func WaveformRef(e *precompile.Entry) string {
 }
 
 // finalizeResponse fills the latency/fidelity tail shared by the
-// per-group and circuit responses.
-func finalizeResponse(resp *CompileResponse, phys *circuit.Circuit, dev *topology.Device, overall float64, begin time.Time) {
+// per-group and circuit responses: gate-based latency, crosstalk fidelity
+// and compile time, under the "finalize" span.
+func finalizeResponse(resp *CompileResponse, phys *circuit.Circuit, dev *topology.Device, overall float64, begin time.Time, tr *obs.Trace) {
+	sp := tr.StartSpan("finalize")
+	defer sp.End()
 	resp.QOCLatencyNs = overall
 	resp.GateLatencyNs = gatepulse.Overall(phys, dev.Calibration)
 	if overall > 0 {

@@ -9,8 +9,10 @@
 package crosstalk
 
 import (
+	"maps"
 	"math"
 	"math/rand"
+	"sync/atomic"
 
 	"accqoc/internal/circuit"
 	"accqoc/internal/topology"
@@ -95,11 +97,39 @@ func (m *PairErrorModel) BaselineError(a, b int) float64 {
 	if a > b {
 		a, b = b, a
 	}
-	// Deterministic per-pair jitter in [0.6, 1.4) of the calibrated mean —
-	// the spread visible in the paper's Fig. 5.
+	return m.dev.Calibration.CXError * m.jitter(a, b)
+}
+
+// jitterMemo maps an ordered pair a < b to its jitter. It is copied on
+// write and only ever holds couplings of the devices asked about, so it
+// stays as small as their coupling maps; reads take no lock.
+var jitterMemo atomic.Pointer[map[[2]int]float64]
+
+// jitter returns the deterministic per-pair factor in [0.6, 1.4) of the
+// calibrated mean — the spread visible in the paper's Fig. 5. It depends
+// only on the pair; a coupling's draw is made once per process.
+func (m *PairErrorModel) jitter(a, b int) float64 {
+	memo := jitterMemo.Load()
+	if memo != nil {
+		if j, ok := (*memo)[[2]int{a, b}]; ok {
+			return j
+		}
+	}
 	rng := rand.New(rand.NewSource(int64(a*1009 + b*9176 + 12345)))
-	jitter := 0.6 + 0.8*rng.Float64()
-	return m.dev.Calibration.CXError * jitter
+	j := 0.6 + 0.8*rng.Float64()
+	if a < 0 || b >= m.dev.NumQubits || !m.dev.Connected(a, b) {
+		return j
+	}
+	for {
+		next := map[[2]int]float64{{a, b}: j}
+		if memo != nil {
+			maps.Copy(next, *memo)
+		}
+		if jitterMemo.CompareAndSwap(memo, &next) {
+			return j
+		}
+		memo = jitterMemo.Load()
+	}
 }
 
 // CrosstalkError returns the CX error rate for pair (a, b) while another CX

@@ -2,6 +2,8 @@ package crosstalk
 
 import (
 	"math"
+	"math/rand"
+	"sync"
 	"testing"
 
 	"accqoc/internal/circuit"
@@ -133,4 +135,33 @@ func TestProgramFidelity(t *testing.T) {
 	if f3 >= f1 {
 		t.Fatal("longer latency should reduce fidelity")
 	}
+}
+
+// TestBaselineErrorMemoConcurrent reads every pair of two devices, in both
+// orders, from several goroutines at once while the jitter memo fills, and
+// checks each value bit for bit against a fresh seeded draw — couplings
+// (memoised) and non-couplings (drawn each time) alike.
+func TestBaselineErrorMemoConcurrent(t *testing.T) {
+	devs := []*topology.Device{topology.Melbourne(), topology.Linear(5)}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, dev := range devs {
+				m := NewPairErrorModel(dev)
+				for a := 0; a < dev.NumQubits; a++ {
+					for b := 0; b < dev.NumQubits; b++ {
+						lo, hi := min(a, b), max(a, b)
+						rng := rand.New(rand.NewSource(int64(lo*1009 + hi*9176 + 12345)))
+						want := dev.Calibration.CXError * (0.6 + 0.8*rng.Float64())
+						if got := m.BaselineError(a, b); got != want {
+							t.Errorf("%s BaselineError(%d, %d) = %v, want %v", dev.Name, a, b, got, want)
+						}
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

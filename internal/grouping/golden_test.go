@@ -294,3 +294,13 @@ func fmtPhaseCanonical(u *cmat.Matrix) string {
 	}
 	return b.String()
 }
+
+// BenchmarkCanonicalOrientation times one canonical key of a Haar-random
+// 4×4 unitary, both orientations rendered.
+func BenchmarkCanonicalOrientation(b *testing.B) {
+	u := cmat.RandomUnitary(rand.New(rand.NewSource(5)), 4)
+	b.ReportAllocs()
+	for b.Loop() {
+		grouping.CanonicalOrientation(u)
+	}
+}

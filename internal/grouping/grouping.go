@@ -14,7 +14,7 @@ import (
 	"fmt"
 	"math/cmplx"
 	"sort"
-	"strings"
+	"strconv"
 
 	"accqoc/internal/circuit"
 	"accqoc/internal/cmat"
@@ -142,33 +142,44 @@ func MatrixKey(u *cmat.Matrix) string {
 // true, a pulse trained for the canonical form drives this group with its
 // per-qubit control channels exchanged.
 func CanonicalOrientation(u *cmat.Matrix) (key string, swapped bool) {
-	best := phaseCanonicalString(u)
+	// Both renderings fit these buffers for 2×2 and 4×4 unitaries, so the
+	// only allocation is the returned key.
+	var direct, exchanged [keyBufSize]byte
+	best := appendPhaseCanonical(direct[:0], u, nil)
 	if u.Rows == 4 {
-		if s := phaseCanonicalString(permuteQubits2(u)); s < best {
-			return s, true
+		if s := appendPhaseCanonical(exchanged[:0], u, swapOrder[:]); string(s) < string(best) {
+			return string(s), true
 		}
 	}
-	return best, false
+	return string(best), false
 }
 
-// permuteQubits2 returns S·U·S for the 4×4 SWAP S — the same operation with
-// the two qubits relabeled.
-func permuteQubits2(u *cmat.Matrix) *cmat.Matrix {
-	s, err := gate.Unitary(gate.Swap, nil)
-	if err != nil {
-		panic(err) // static gate, cannot fail
+// keyBufSize holds a rendered 4×4 key: "4x4:" plus 16 entries of at most
+// "-0.00000,-0.00000;" each, for entries of modulus at most 1.
+const keyBufSize = 320
+
+// swapOrder lists, for each row-major entry of S·U·S (S the 4×4 SWAP: the
+// same operation with the two qubits relabeled), the entry of U it equals.
+// Rows and columns are both permuted by [0, 2, 1, 3].
+var swapOrder = [16]int{0, 2, 1, 3, 8, 10, 9, 11, 4, 6, 5, 7, 12, 14, 13, 15}
+
+// appendPhaseCanonical appends the key rendering of U — or, when order is
+// set, of the matrix whose k-th row-major entry is u.Data[order[k]]. It
+// fixes the global phase so the largest-magnitude entry is real positive,
+// then prints entries quantized to 1e-5.
+func appendPhaseCanonical(b []byte, u *cmat.Matrix, order []int) []byte {
+	entry := func(k int) complex128 {
+		if order != nil {
+			return u.Data[order[k]]
+		}
+		return u.Data[k]
 	}
-	return cmat.MulChain(s, u, s)
-}
-
-// phaseCanonicalString fixes the global phase so the largest-magnitude
-// entry is real positive, then prints entries quantized to 1e-6.
-func phaseCanonicalString(u *cmat.Matrix) string {
 	// Use the largest-magnitude entry as the phase reference: stable under
 	// small numerical noise.
 	var ref complex128
 	var refAbs float64
-	for _, v := range u.Data {
+	for k := range u.Data {
+		v := entry(k)
 		if a := cmplx.Abs(v); a > refAbs+1e-12 {
 			refAbs, ref = a, v
 		}
@@ -177,21 +188,37 @@ func phaseCanonicalString(u *cmat.Matrix) string {
 	if refAbs > 0 {
 		phase = cmplx.Conj(ref) / complex(refAbs, 0)
 	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "%dx%d:", u.Rows, u.Cols)
-	for _, v := range u.Data {
-		w := v * phase
-		fmt.Fprintf(&b, "%.5f,%.5f;", quant(real(w)), quant(imag(w)))
+	b = strconv.AppendInt(b, int64(u.Rows), 10)
+	b = append(b, 'x')
+	b = strconv.AppendInt(b, int64(u.Cols), 10)
+	b = append(b, ':')
+	for k := range u.Data {
+		w := entry(k) * phase
+		b = appendQuant(b, real(w))
+		b = append(b, ',')
+		b = appendQuant(b, imag(w))
+		b = append(b, ';')
 	}
-	return b.String()
+	return b
 }
 
-func quant(x float64) float64 {
-	q := float64(int64(x*1e5+copysignHalf(x))) / 1e5
-	if q == 0 {
-		return 0 // normalize −0
+// appendQuant appends x rounded half away from zero to n·1e-5, exactly as
+// %.5f prints the float n/1e5 (with −0 printed as 0). For |n| < 1e15 that
+// float lies within 1e-6 of n·1e-5, so %.5f prints the digits of n; larger
+// n are rendered by strconv, which is what fmt calls.
+func appendQuant(b []byte, x float64) []byte {
+	n := int64(x*1e5 + copysignHalf(x))
+	if n <= -1e15 || n >= 1e15 {
+		return strconv.AppendFloat(b, float64(n)/1e5, 'f', 5, 64)
 	}
-	return q
+	if n < 0 {
+		b = append(b, '-')
+		n = -n
+	}
+	b = strconv.AppendInt(b, n/1e5, 10)
+	f := n % 1e5
+	return append(b, '.',
+		byte('0'+f/1e4), byte('0'+f/1e3%10), byte('0'+f/100%10), byte('0'+f/10%10), byte('0'+f%10))
 }
 
 func copysignHalf(x float64) float64 {

@@ -1,6 +1,10 @@
 package server
 
 import (
+	"bytes"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 
 	"accqoc/internal/circuit"
@@ -143,4 +147,38 @@ func benchEpochRoll(b *testing.B, warm bool) {
 func BenchmarkEpochRollWarmVsCold(b *testing.B) {
 	b.Run("cold", func(b *testing.B) { benchEpochRoll(b, false) })
 	b.Run("warm", func(b *testing.B) { benchEpochRoll(b, true) })
+}
+
+// BenchmarkServeWarm measures the warm path end to end in process: one
+// POST /v1/compile library hit (qft:3 on linear3, trained once before the
+// timer) through the full handler stack with usage accounting and
+// observability on, as deployed: parse, prepare (map, group, key), plan,
+// latency, finalize and encode. ns/op and allocs/op are the figures
+// BENCH_e2e.json records.
+func BenchmarkServeWarm(b *testing.B) {
+	s := New(Config{Compile: fastOpts(), Workers: 1})
+	defer s.Close()
+	h := s.Handler()
+	body := []byte(`{"workload":"qft:3"}`)
+	serve := func() *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/compile", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+		return rec
+	}
+	serve() // trains the library
+	b.ReportAllocs()
+	var rec *httptest.ResponseRecorder
+	for b.Loop() {
+		rec = serve()
+	}
+	var out CompileResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
+		b.Fatal(err)
+	}
+	if !out.WarmServed || out.TrainingIterations != 0 {
+		b.Fatalf("timed request was not a library hit: %+v", out)
+	}
 }

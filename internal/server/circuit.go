@@ -55,5 +55,5 @@ func (s *Server) handleCircuits(w http.ResponseWriter, r *http.Request) {
 	// Echo the explicit device routing, exactly like the per-group path.
 	res.Circ.Compile.Device = req.Device
 	s.compileNs.Add(int64(res.Circ.Compile.CompileMillis * float64(time.Millisecond)))
-	writeJSON(w, http.StatusOK, res.Circ)
+	writeTracedJSON(w, r, res.Circ)
 }

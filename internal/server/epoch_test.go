@@ -391,32 +391,27 @@ func TestServerBootSnapshotReadiness(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// waitHealth waits for the boot load to finish, then reads /healthz
+	// once.
 	waitHealth := func(s *Server, wantStatus string, wantCode int) HealthResponse {
 		t.Helper()
+		s.bootWG.Wait()
 		ts := httptest.NewServer(s.Handler())
 		defer ts.Close()
-		deadline := time.Now().Add(10 * time.Second)
-		for {
-			resp, err := http.Get(ts.URL + "/healthz")
-			if err != nil {
-				t.Fatal(err)
-			}
-			var out HealthResponse
-			if derr := json.NewDecoder(resp.Body).Decode(&out); derr != nil {
-				t.Fatal(derr)
-			}
-			resp.Body.Close()
-			if out.Status == wantStatus {
-				if resp.StatusCode != wantCode {
-					t.Fatalf("status %q with code %d, want %d", out.Status, resp.StatusCode, wantCode)
-				}
-				return out
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("healthz never reached %q: %+v", wantStatus, out)
-			}
-			time.Sleep(5 * time.Millisecond)
+		resp, err := http.Get(ts.URL + "/healthz")
+		if err != nil {
+			t.Fatal(err)
 		}
+		defer resp.Body.Close()
+		var out HealthResponse
+		if derr := json.NewDecoder(resp.Body).Decode(&out); derr != nil {
+			t.Fatal(derr)
+		}
+		if out.Status != wantStatus || resp.StatusCode != wantCode {
+			t.Fatalf("healthz after boot = %q with code %d, want %q with %d: %+v",
+				out.Status, resp.StatusCode, wantStatus, wantCode, out)
+		}
+		return out
 	}
 
 	// Matching fingerprint: ready, entries loaded, snapshot age reported.

@@ -302,7 +302,7 @@ func TestDebugRequestsSchema(t *testing.T) {
 			trained++
 		}
 	}
-	for _, want := range []string{"parse", "queue", "prepare", "plan", "train"} {
+	for _, want := range []string{"parse", "queue", "prepare", "plan", "train", "finalize", "encode"} {
 		if !stages[want] {
 			t.Errorf("trace missing %q span (got %v)", want, stages)
 		}

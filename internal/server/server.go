@@ -477,7 +477,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	// single-device wire format byte for byte.
 	res.Resp.Device = req.Device
 	s.compileNs.Add(int64(res.Resp.CompileMillis * float64(time.Millisecond)))
-	writeJSON(w, http.StatusOK, res.Resp)
+	writeTracedJSON(w, r, res.Resp)
 }
 
 // logRequestError files one request failure with its request ID, so log
@@ -551,6 +551,14 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	_ = json.NewEncoder(w).Encode(v)
+}
+
+// writeTracedJSON writes a compile endpoint's 200 response under the
+// request trace's "encode" span.
+func writeTracedJSON(w http.ResponseWriter, r *http.Request, v any) {
+	sp := obs.TraceFrom(r.Context()).StartSpan("encode")
+	writeJSON(w, http.StatusOK, v)
+	sp.End()
 }
 
 func writeError(w http.ResponseWriter, code int, err error) {

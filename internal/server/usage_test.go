@@ -11,7 +11,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"accqoc/internal/libstore"
 )
@@ -243,21 +242,15 @@ func TestUsageSnapshotCycle(t *testing.T) {
 	second := New(Config{Compile: fastOpts(), Workers: 4, BootSnapshot: path})
 	tsSecond := httptest.NewServer(second.Handler())
 	defer func() { tsSecond.Close(); second.Close() }()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		resp, err := http.Get(tsSecond.URL + "/healthz")
-		if err != nil {
-			t.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode == http.StatusOK {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("boot snapshot never became ready")
-		}
-		time.Sleep(10 * time.Millisecond)
+	second.bootWG.Wait()
+	resp, err := http.Get(tsSecond.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz after boot load = %d, want 200", resp.StatusCode)
 	}
 
 	u := getUsage(t, tsSecond.URL, "?n=1000")
